@@ -48,6 +48,9 @@ PATH_FAILED = 3
 
 TYPE_NAMES = {0: "good", 1: "gray", 2: "congested", 3: "failed"}
 
+#: Time constant of the per-path ``r_p`` rate estimator.
+RP_TAU_NS = 200_000
+
 
 class PathState:
     """Sensed condition of one (destination leaf, path).
@@ -68,7 +71,6 @@ class PathState:
         "failed_until",
         "_rp_value",
         "_rp_last",
-        "_rp_tau_ns",
     )
 
     def __init__(self, initial_rtt_ns: int) -> None:
@@ -82,7 +84,6 @@ class PathState:
         self.failed_until = -1
         self._rp_value = 0.0
         self._rp_last = 0
-        self._rp_tau_ns = 200_000
 
     def record_signal(self, ece: bool, rtt_ns: int, now: int,
                       ecn_gain: float, rtt_gain: float) -> None:
@@ -94,7 +95,7 @@ class PathState:
     def rp_add(self, size_bytes: int, now: int) -> None:
         dt = now - self._rp_last
         if dt > 0:
-            self._rp_value *= math.exp(-dt / self._rp_tau_ns)
+            self._rp_value *= math.exp(-dt / RP_TAU_NS)
             self._rp_last = now
         self._rp_value += size_bytes
 
@@ -103,8 +104,8 @@ class PathState:
         dt = now - self._rp_last
         value = self._rp_value
         if dt > 0:
-            value *= math.exp(-dt / self._rp_tau_ns)
-        return value * 8.0 / (self._rp_tau_ns / 1e9)
+            value *= math.exp(-dt / RP_TAU_NS)
+        return value * 8.0 / (RP_TAU_NS / 1e9)
 
     def is_failed(self, now: int) -> bool:
         return now < self.failed_until

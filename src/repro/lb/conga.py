@@ -5,7 +5,8 @@ leaf-to-leaf form:
 
 * every fabric port runs a DRE (exponentially decayed byte counter) and
   stamps the maximum quantized utilization seen along the forward path
-  into the packet (done generically by :class:`repro.net.port.OutputPort`);
+  into the packet — done by :class:`repro.net.port.OutputPort` once the
+  CONGA installer has turned its DRE on (``OutputPort.enable_dre``);
 * the destination echoes the metric back (our per-packet ACKs play the
   role of CONGA's opportunistic piggybacking);
 * the source **leaf** keeps a congestion-to-leaf table per (destination

@@ -2,7 +2,9 @@
 
 ``install_lb(fabric, "hermes", rng)`` wires up the whole scheme: per-host
 agents, shared per-leaf state where the scheme needs it (CONGA tables,
-Hermes path tables), and auxiliary machinery (Hermes probe agents).
+Hermes path tables), auxiliary machinery (Hermes probe agents), and the
+estimators only that scheme reads: port DRE for CONGA, per-flow ``r_f``
+for Hermes.  Every other scheme runs with both off.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def _install_simple(cls: type) -> Callable[..., Dict[str, Any]]:
 
 
 def _install_conga(fabric: Fabric, **params: Any) -> Dict[str, Any]:
+    for port in fabric.topology.all_ports():
+        port.enable_dre()
     aging_ns = params.pop("aging_ns", None)
     leaf_states = {
         leaf: CongaLeafState(**({"aging_ns": aging_ns} if aging_ns else {}))
@@ -60,6 +64,8 @@ def _install_hermes(fabric: Fabric, **params: Any) -> Dict[str, Any]:
     from repro.core.probing import HermesProber, install_probe_loss_accounting
     from repro.core.sensing import HermesLeafState
 
+    # The cautious-rerouting gate reads each flow's r_f (rate_bps).
+    fabric.track_flow_rates = True
     hermes_params: HermesParams = params.pop("params", HermesParams())
     hermes_params = hermes_params.resolve(fabric.config)
     leaf_states = {

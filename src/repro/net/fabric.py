@@ -89,6 +89,11 @@ class Fabric:
         #: while it is still live (before pool release) — the Hermes
         #: prober and detector planes attribute losses per consumer.
         self.probe_drop_sink: Optional[Callable[[Packet], None]] = None
+        #: Whether flows keep their ``r_f`` sending-rate estimator
+        #: (:meth:`FlowBase.rate_bps`).  Off by default; the installer of
+        #: a scheme that reads flow rates (Hermes) turns it on before any
+        #: flow is built, and each flow reads it once at construction.
+        self.track_flow_rates = False
         #: The unified attach/detach surface for all observability hooks
         #: (checker / tracer / audit / profiler) — see :mod:`repro.hooks`.
         self.hooks = HookSet(self)

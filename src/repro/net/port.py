@@ -6,9 +6,12 @@ delay.  ECN CE marking happens at enqueue when the instantaneous backlog
 exceeds the marking threshold, which is how commodity switches implement
 DCTCP-style marking.
 
-The port also keeps a DRE (Discounting Rate Estimator) — the exponentially
-decayed byte counter CONGA uses to estimate link utilization — implemented
-lazily (decay computed on read) so it costs no timer events.
+A port can also keep a DRE (Discounting Rate Estimator) — the
+exponentially decayed byte counter CONGA uses to estimate link utilization
+— implemented lazily (decay computed on read) so it costs no timer events.
+The DRE is off by default: the CONGA installer turns it on for every port
+with :meth:`OutputPort.enable_dre` before any packet is sent, and reading
+it while it is off raises, so no other scheme pays for it per packet.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class OutputPort:
             backlog exceeds this (0 disables marking).
         forward: callback invoked when a packet has fully arrived at the
             other end of the link.
-        dre_tau_ns: time constant of the DRE utilization estimator.
+        dre_tau_ns: time constant of the DRE utilization estimator
+            (off until :meth:`enable_dre`).
     """
 
     __slots__ = (
@@ -122,6 +126,7 @@ class OutputPort:
         "drops_linkdown",
         "max_backlog",
         "dre_tau_ns",
+        "_dre_on",
         "_dre_value",
         "_dre_last",
         "data_bytes_enqueued",
@@ -182,8 +187,9 @@ class OutputPort:
         self.max_backlog = 0
         self.data_bytes_enqueued = 0
         self.ecn_marks = 0
-        # DRE state.
+        # DRE state (off until enable_dre()).
         self.dre_tau_ns = dre_tau_ns
+        self._dre_on = False
         self._dre_value = 0.0
         self._dre_last = 0
         #: Optional invariant checker (see :mod:`repro.validate`); one
@@ -369,18 +375,19 @@ class OutputPort:
         self._inflight = None
 
     def _tx_done(self) -> None:
-        """The last bit has left: account, stamp DRE, propagate."""
+        """The last bit has left: account, stamp DRE (if on), propagate."""
         packet = self._inflight
         size = packet.size
         self.backlog_bytes -= size
         self.bytes_sent += size
         self.pkts_sent += 1
-        self._dre_add(size)
-        kind = packet.kind
-        if kind == PacketKind.DATA or kind == PacketKind.UDP:
-            metric = self.dre_quantized()
-            if metric > packet.conga_metric:
-                packet.conga_metric = metric
+        if self._dre_on:
+            self._dre_add(size)
+            kind = packet.kind
+            if kind == PacketKind.DATA or kind == PacketKind.UDP:
+                metric = self.dre_quantized()
+                if metric > packet.conga_metric:
+                    packet.conga_metric = metric
         if self._checker is not None:
             self._checker.on_tx_done(self, packet)
         if self.forward is not None:
@@ -445,6 +452,20 @@ class OutputPort:
     # DRE utilization estimator (CONGA §4; lazy exponential decay)
     # ------------------------------------------------------------------ #
 
+    def enable_dre(self) -> None:
+        """Turn on the DRE and the ``conga_metric`` stamp on this port.
+
+        Called by a scheme that reads DRE (CONGA) at install time.
+        Raises once the port has sent a packet: the estimator would
+        start late and read low.
+        """
+        if self.pkts_sent:
+            raise RuntimeError(
+                f"port {self.name}: enable_dre() after {self.pkts_sent} "
+                f"packets were sent; enable it before traffic starts"
+            )
+        self._dre_on = True
+
     def _dre_decay(self, now: int) -> None:
         dt = now - self._dre_last
         if dt > 0:
@@ -456,7 +477,16 @@ class OutputPort:
         self._dre_value += size_bytes
 
     def dre_utilization(self) -> float:
-        """Estimated utilization in [0, ~1+]: decayed bytes over ``tau * C``."""
+        """Estimated utilization in [0, ~1+]: decayed bytes over ``tau * C``.
+
+        Raises while the DRE is off (see :meth:`enable_dre`), so a scheme
+        that forgot to turn it on cannot silently read an idle link.
+        """
+        if not self._dre_on:
+            raise RuntimeError(
+                f"port {self.name}: DRE is off; the scheme that reads it "
+                f"must call enable_dre() at install time"
+            )
         self._dre_decay(self.sim.now)
         capacity_bytes = self.rate_bps / 8.0 * (self.dre_tau_ns / 1e9)
         return self._dre_value / capacity_bytes

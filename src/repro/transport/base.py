@@ -1,4 +1,4 @@
-"""Flow base class: identity, lifecycle, rate estimation.
+"""Flow base class: identity, lifecycle, opt-in rate estimation.
 
 A flow object holds *both* endpoints' state (sender and receiver); the
 simulator is single-process, so splitting it in two would only add
@@ -16,6 +16,9 @@ from repro.net.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Fabric
 
+#: Time constant of the per-flow ``r_f`` rate estimator.
+RATE_TAU_NS = 200_000
+
 
 class FlowBase:
     """Common flow state shared by TCP/DCTCP/UDP.
@@ -24,7 +27,9 @@ class FlowBase:
 
     * ``bytes_sent`` — ``s_sent`` in the paper: bytes transmitted so far,
       used to estimate the remaining size;
-    * ``rate_bps()`` — ``r_f``: DRE-smoothed sending rate;
+    * ``rate_bps()`` — ``r_f``: DRE-smoothed sending rate, kept only
+      when the fabric's ``track_flow_rates`` was on at construction
+      (the Hermes installer turns it on);
     * ``current_path`` — the path the flow is pinned to right now;
     * ``if_timeout`` — set when the flow suffered an RTO; Hermes reroutes
       such flows at the next packet.
@@ -57,8 +62,9 @@ class FlowBase:
         self.retx_count: int = 0
         self.timeout_count: int = 0
         self.last_tx_time: int = -(10**18)  # for flowlet detection
-        # DRE rate estimator (lazy exponential decay).
-        self._rate_tau_ns = 200_000
+        # DRE rate estimator (lazy exponential decay); senders call
+        # _rate_add only when _track_rate is set.
+        self._track_rate: bool = fabric.track_flow_rates
         self._rate_value = 0.0
         self._rate_last = 0
 
@@ -97,18 +103,29 @@ class FlowBase:
         now = self.sim.now
         dt = now - self._rate_last
         if dt > 0:
-            self._rate_value *= math.exp(-dt / self._rate_tau_ns)
+            self._rate_value *= math.exp(-dt / RATE_TAU_NS)
             self._rate_last = now
         self._rate_value += size_bytes
 
     def rate_bps(self) -> float:
-        """Current DRE-smoothed sending rate in bits/second."""
+        """Current DRE-smoothed sending rate in bits/second.
+
+        Tracked only for flows built while ``fabric.track_flow_rates``
+        was on, which the installer of a scheme that reads ``r_f``
+        (Hermes) sets.  Raises otherwise, so a reader that forgot to ask
+        for it cannot silently see a rate of 0.
+        """
+        if not self._track_rate:
+            raise RuntimeError(
+                f"flow {self.flow_id}: rate tracking is off; the scheme "
+                f"that reads r_f must set fabric.track_flow_rates at install"
+            )
         now = self.sim.now
         dt = now - self._rate_last
         value = self._rate_value
         if dt > 0:
-            value *= math.exp(-dt / self._rate_tau_ns)
-        return value * 8.0 / (self._rate_tau_ns / 1e9)
+            value *= math.exp(-dt / RATE_TAU_NS)
+        return value * 8.0 / (RATE_TAU_NS / 1e9)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "done" if self.finished else "active"

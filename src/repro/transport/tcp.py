@@ -142,7 +142,8 @@ class TcpFlow(FlowBase):
             if tracer is not None:
                 tracer.on_retransmit(self, seq, lost_path)
         self._path_of[seq] = path
-        self._rate_add(wire)
+        if self._track_rate:
+            self._rate_add(wire)
         self.fabric.send(packet)
         if self._rto_event is None:
             self._arm_rto()

@@ -112,7 +112,8 @@ class UdpFlow(FlowBase):
         self.pkts_sent += 1
         self.bytes_sent += self.packet_bytes - HEADER_BYTES
         self.last_tx_time = self.sim.now
-        self._rate_add(self.packet_bytes)
+        if self._track_rate:
+            self._rate_add(self.packet_bytes)
         self.fabric.send(packet)
         event = self._tick_event
         if event is None:

@@ -197,6 +197,7 @@ class TestDre:
     def test_dre_rises_with_traffic(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         assert port.dre_utilization() == 0.0
         # Sustain line rate for ~2 tau so the estimator converges.
         for i in range(200):
@@ -207,6 +208,7 @@ class TestDre:
     def test_dre_decays_when_idle(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         for i in range(200):
             port.enqueue(data(i))
         sim.run()
@@ -217,6 +219,7 @@ class TestDre:
     def test_dre_quantized_range(self):
         sim = Simulator()
         port, _ = make_port(sim)
+        port.enable_dre()
         assert port.dre_quantized() == 0
         for i in range(100):
             port.enqueue(data(i))
@@ -226,6 +229,7 @@ class TestDre:
     def test_data_packet_stamped_with_max_dre(self):
         sim = Simulator()
         port, arrived = make_port(sim)
+        port.enable_dre()
         for i in range(50):
             port.enqueue(data(i))
         sim.run()

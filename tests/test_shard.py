@@ -59,7 +59,9 @@ def _assert_identical(serial, sharded, *, hazard_free: bool = True) -> None:
 class TestBitIdentity:
     """shards=2 reproduces the serial run exactly, scheme by scheme."""
 
-    @pytest.mark.parametrize("lb", ["ecmp", "hermes", "rdna"])
+    # conga: its installer enables port DRE on one fabric; every shard
+    # installs on its own fabric, so each must enable DRE on its ports.
+    @pytest.mark.parametrize("lb", ["ecmp", "hermes", "rdna", "conga"])
     def test_golden_cell_matches_serial(self, lb):
         config = _cell(lb)
         serial = run_experiment(config)
